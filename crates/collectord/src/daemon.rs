@@ -12,7 +12,7 @@ use obs::{info, warn, Json, Registry};
 use wire::framing::{read_frame, write_frame, FrameError};
 
 use crate::dashboard;
-use crate::http::{read_request, respond};
+use crate::http::{read_request, respond, Request};
 use crate::ingest::{Ingest, ShardInfo};
 use crate::protocol::{ack_doc, error_doc, parse_push, IngestError, PushOutcome};
 use crate::store::{Store, StoreError};
@@ -72,11 +72,11 @@ impl Daemon {
         }
     }
 
-    /// Override the per-connection ingest read/write timeout
-    /// ([`DEFAULT_INGEST_TIMEOUT`]). A connection that stalls past it —
-    /// idle, half-open, or torn mid-frame — is counted
-    /// (`collectord_conn_timeout_total`) and dropped; resilient clients
-    /// reconnect and re-push.
+    /// Override the per-connection read/write timeout
+    /// ([`DEFAULT_INGEST_TIMEOUT`]) on both listeners. A connection
+    /// that stalls past it — idle, half-open, or torn mid-frame — is
+    /// counted (`collectord_conn_timeout_total`) and dropped; resilient
+    /// clients reconnect and re-push.
     pub fn with_ingest_timeout(mut self, timeout: Duration) -> Daemon {
         self.ingest_timeout = timeout;
         self
@@ -154,12 +154,7 @@ impl Daemon {
             let payload = match read_frame(&mut stream) {
                 Ok(p) => p,
                 Err(FrameError::Closed) => return,
-                Err(FrameError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                    ) =>
-                {
+                Err(FrameError::Io(e)) if is_timeout(&e) => {
                     // Tell the peer why before hanging up, best-effort
                     // (it may be long gone).
                     warn!("collectord: ingest connection timed out; dropping it");
@@ -228,18 +223,34 @@ impl Daemon {
     }
 
     fn handle_http_conn(&self, mut stream: TcpStream) {
-        let Some(req) = read_request(&mut stream) else {
-            return;
+        // A client that connects and goes silent (or never reads its
+        // response) must not pin this thread forever: the same bound
+        // as push connections.
+        let _ = stream.set_read_timeout(Some(self.ingest_timeout));
+        let _ = stream.set_write_timeout(Some(self.ingest_timeout));
+        let sent = match read_request(&mut stream) {
+            Ok(Some(req)) => self.serve_request(&mut stream, &req),
+            Ok(None) => return,
+            Err(e) => Err(e),
         };
+        if let Err(e) = sent {
+            if is_timeout(&e) {
+                warn!("collectord: http connection timed out; dropping it");
+                self.inner.registry.counter("collectord.conn_timeout").inc();
+            }
+        }
+    }
+
+    /// Answer one parsed HTTP request on `stream`.
+    fn serve_request(&self, stream: &mut TcpStream, req: &Request) -> std::io::Result<()> {
         self.inner
             .registry
             .counter("collectord.http.requests")
             .inc();
         if req.method != "GET" {
-            let _ = respond(&mut stream, 405, "text/plain", "only GET is served\n");
-            return;
+            return respond(stream, 405, "text/plain", "only GET is served\n");
         }
-        let _ = match req.path.as_str() {
+        match req.path.as_str() {
             "/healthz" => {
                 // First line stays exactly "ok" (probe compatibility);
                 // recovery provenance rides the following lines.
@@ -255,20 +266,20 @@ impl Daemon {
                         None => "ok\n".to_string(),
                     }
                 };
-                respond(&mut stream, 200, "text/plain", &body)
+                respond(stream, 200, "text/plain", &body)
             }
             "/snapshot" => {
                 let body = self.inner.ingest.lock().unwrap().snapshot_pretty();
-                respond(&mut stream, 200, "application/json", &body)
+                respond(stream, 200, "application/json", &body)
             }
             "/status" => {
                 let body = self.status_json().to_string_pretty();
-                respond(&mut stream, 200, "application/json", &body)
+                respond(stream, 200, "application/json", &body)
             }
             "/metrics" => {
                 let body = self.metrics_text();
                 respond(
-                    &mut stream,
+                    stream,
                     200,
                     "text/plain; version=0.0.4; charset=utf-8",
                     &body,
@@ -287,10 +298,10 @@ impl Daemon {
                     ingest.throughput_dps(),
                     ingest.eta_secs(),
                 );
-                respond(&mut stream, 200, "text/html; charset=utf-8", &body)
+                respond(stream, 200, "text/html; charset=utf-8", &body)
             }
-            _ => respond(&mut stream, 404, "text/plain", "not found\n"),
-        };
+            _ => respond(stream, 404, "text/plain", "not found\n"),
+        }
     }
 
     /// The `/status` document: campaign identity, progress, and
@@ -480,6 +491,14 @@ impl Daemon {
         }
         out
     }
+}
+
+/// Whether a socket error is a read/write timeout firing.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+    )
 }
 
 fn shard_rows(ingest: &Ingest) -> Vec<(String, ShardInfo, f64)> {

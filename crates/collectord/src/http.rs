@@ -21,26 +21,33 @@ pub struct Request {
     pub path: String,
 }
 
-/// Read and parse one request head from `stream`. Returns `None` when
-/// the peer closed without sending a full request or the request is
-/// malformed/oversized (the caller just drops the connection or has
-/// already had an error response written).
-pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
+/// Read and parse one request head from `stream`. Returns `Ok(None)`
+/// when the peer closed without sending a full request or the request
+/// is malformed/oversized (the caller just drops the connection or has
+/// already had an error response written), and `Err` when the read
+/// itself failed — a read timeout among others.
+pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
         if buf.len() > MAX_REQUEST_BYTES {
             let _ = respond(stream, 431, "text/plain", "request head too large\n");
-            return None;
+            return Ok(None);
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return None,
+            Ok(0) => return Ok(None),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return None,
+            Err(e) => return Err(e),
         }
     }
-    let head = String::from_utf8_lossy(&buf);
+    Ok(parse_head(&buf))
+}
+
+/// Parse a complete request head: `None` unless the request line is
+/// `METHOD TARGET HTTP/1.x`.
+fn parse_head(buf: &[u8]) -> Option<Request> {
+    let head = String::from_utf8_lossy(buf);
     let line = head.lines().next()?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
@@ -103,7 +110,7 @@ mod tests {
             out
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream).unwrap();
+        let req = read_request(&mut stream).unwrap().unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/snapshot");
         respond(&mut stream, 200, "text/plain", "hi").unwrap();
@@ -125,7 +132,7 @@ mod tests {
             let _ = s.read_to_string(&mut out);
         });
         let (mut stream, _) = listener.accept().unwrap();
-        assert!(read_request(&mut stream).is_none());
+        assert!(read_request(&mut stream).unwrap().is_none());
         drop(stream);
         client.join().unwrap();
     }

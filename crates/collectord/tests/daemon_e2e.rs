@@ -241,3 +241,42 @@ fn stalled_ingest_connection_times_out_and_is_counted() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
 }
+
+/// An HTTP client that connects and never sends a request must not pin
+/// a daemon thread: the ingest timeout bounds HTTP reads too, the
+/// connection is closed and counted, and the daemon keeps serving.
+#[test]
+fn silent_http_client_is_closed_and_daemon_keeps_serving() {
+    let ingest = TcpListener::bind("127.0.0.1:0").unwrap();
+    let http = TcpListener::bind("127.0.0.1:0").unwrap();
+    let http_addr = http.local_addr().unwrap().to_string();
+    let daemon = Daemon::new(spec()).with_ingest_timeout(std::time::Duration::from_millis(200));
+    let d = daemon.clone();
+    std::thread::spawn(move || d.serve_ingest(ingest));
+    let d = daemon.clone();
+    std::thread::spawn(move || d.serve_http(http));
+
+    let started = std::time::Instant::now();
+    let mut silent = TcpStream::connect(&http_addr).unwrap();
+    silent
+        .set_read_timeout(Some(std::time::Duration::from_secs(2)))
+        .unwrap();
+    let mut buf = [0u8; 64];
+    let n = silent
+        .read(&mut buf)
+        .expect("daemon closed the silent connection within 2 s");
+    assert_eq!(n, 0, "daemon answered a request that was never sent");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(2),
+        "closed only after {:?}",
+        started.elapsed()
+    );
+
+    let (status, _) = get(&http_addr, "/status");
+    assert!(status.contains("200"), "{status}");
+    let (_, metrics) = get(&http_addr, "/metrics");
+    assert!(
+        metrics.contains("collectord_conn_timeout_total 1"),
+        "{metrics}"
+    );
+}

@@ -8,16 +8,40 @@
 //! plus timer-churn workload to warm the structures, and then asserts a
 //! literal zero allocation delta over a long steady-state window.
 //!
-//! The same workload through `QueueKind::Boxed` (the pre-arena oracle
-//! that heap-boxes every payload) must allocate once per event — the
-//! contrast pins down that it is the arena, not luck, keeping the fast
-//! path off the heap.
+//! The same workload with heap-boxed payloads (`Sim<Box<u64>>`, the
+//! pre-arena representation) must allocate once per event — the
+//! contrast pins down that it is the inline arena, not luck, keeping
+//! the fast path off the heap.
 
 use obs::prof::{thread_alloc_counts, CountingAlloc};
-use simcore::{Ctx, Node, NodeId, QueueKind, Sim, SimDuration, SimTime};
+use simcore::{Ctx, Node, NodeId, Sim, SimDuration, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// A ping-pong payload: inline (`u64`) or heap-boxed (`Box<u64>`).
+trait Hop: 'static {
+    fn start() -> Self;
+    fn next(self) -> Self;
+}
+
+impl Hop for u64 {
+    fn start() -> Self {
+        0
+    }
+    fn next(self) -> Self {
+        self + 1
+    }
+}
+
+impl Hop for Box<u64> {
+    fn start() -> Self {
+        Box::new(0)
+    }
+    fn next(self) -> Self {
+        Box::new(*self + 1)
+    }
+}
 
 /// Ping-pong node: echoes every message back to its sender after a
 /// fixed delay, and keeps a cancel/re-arm timer cycling (the SDIO/PSM
@@ -29,11 +53,11 @@ struct Pinger {
     timer: Option<simcore::TimerId>,
 }
 
-impl Node<u64> for Pinger {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
+impl<M: Hop> Node<M> for Pinger {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: M) {
         self.hops += 1;
         self.peer = Some(from);
-        ctx.send(from, SimDuration::from_micros(13), msg + 1);
+        ctx.send(from, SimDuration::from_micros(13), msg.next());
         // Reset-on-activity: cancel the pending watchdog and re-arm it,
         // exactly like the SDIO demotion state machine.
         if let Some(t) = self.timer.take() {
@@ -42,32 +66,29 @@ impl Node<u64> for Pinger {
         self.timer = Some(ctx.set_timer(SimDuration::from_millis(5), 0));
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64) {
         // Watchdog fired: nudge the peer so traffic never dies out.
         let _ = tag;
         self.timer = None;
         if let Some(peer) = self.peer {
-            ctx.send(peer, SimDuration::from_micros(13), 0);
+            ctx.send(peer, SimDuration::from_micros(13), M::start());
         }
     }
 }
 
-/// Run the ping-pong workload on `kind`; returns the allocation count
-/// delta over the steady-state window (after warm-up).
-fn steady_state_allocs(kind: QueueKind) -> u64 {
-    let mut sim: Sim<u64> = Sim::new_with_queue(7, kind);
+/// Run the ping-pong workload with payload type `M`; returns the
+/// allocation count delta over the steady-state window (after warm-up).
+fn steady_state_allocs<M: Hop>() -> u64 {
+    let mut sim: Sim<M> = Sim::new(7);
     let a = sim.add_node(Box::<Pinger>::default());
     let b = sim.add_node(Box::<Pinger>::default());
     // Several concurrent ping-pong chains so the queue holds more than
     // one in-flight event and the arena cycles through multiple slots.
     for i in 0..16 {
-        sim.inject(a, b, SimTime::from_micros(i), 0);
+        sim.inject(a, b, SimTime::from_micros(i), M::start());
     }
 
-    // Warm-up: grow every structure to its high-water mark. The window
-    // starts past 1.07 s so the wheel's first lap of its coarse levels
-    // (whose bucket pools warm on first touch, see `WheelQueue`) counts
-    // as warm-up, not steady state.
+    // Warm-up: grow every structure to its high-water mark.
     sim.run_until(SimTime::from_millis(1_120));
 
     let (allocs_before, _) = thread_alloc_counts();
@@ -81,22 +102,17 @@ fn steady_state_allocs(kind: QueueKind) -> u64 {
 
 #[test]
 fn dispatch_steady_state_allocates_nothing() {
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        let delta = steady_state_allocs(kind);
-        assert_eq!(
-            delta, 0,
-            "steady-state dispatch on {kind} allocated {delta} times"
-        );
-    }
+    let delta = steady_state_allocs::<u64>();
+    assert_eq!(delta, 0, "steady-state dispatch allocated {delta} times");
 }
 
 #[test]
-fn boxed_oracle_allocates_per_event() {
+fn boxed_payloads_allocate_per_event() {
     // The pre-arena representation boxes every payload: tens of
     // thousands of events must mean tens of thousands of allocations.
-    let delta = steady_state_allocs(QueueKind::Boxed);
+    let delta = steady_state_allocs::<Box<u64>>();
     assert!(
         delta > 10_000,
-        "boxed oracle should allocate per event, saw only {delta}"
+        "boxed payloads should allocate per event, saw only {delta}"
     );
 }

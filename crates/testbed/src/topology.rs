@@ -95,9 +95,6 @@ pub struct TestbedConfig {
     /// Override the AP beacon interval (None = the 802.11 default of
     /// 102.4 ms). Fleet campaigns sweep this across device populations.
     pub beacon_interval_override: Option<SimDuration>,
-    /// Event-queue backend for the simulation (wheel by default; both
-    /// backends produce byte-identical runs).
-    pub queue: simcore::QueueKind,
 }
 
 impl TestbedConfig {
@@ -122,14 +119,7 @@ impl TestbedConfig {
             server_link_faults: None,
             wifi_faults: None,
             beacon_interval_override: None,
-            queue: simcore::QueueKind::default(),
         }
-    }
-
-    /// Builder: select the event-queue backend.
-    pub fn with_queue(mut self, queue: simcore::QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Builder: override the AP beacon interval.
@@ -233,7 +223,7 @@ impl Testbed {
     /// Build the testbed. Install apps with [`Testbed::install_app`]
     /// before running.
     pub fn build(cfg: TestbedConfig) -> Testbed {
-        let mut sim = Sim::new_with_queue(cfg.seed, cfg.queue);
+        let mut sim = Sim::new(cfg.seed);
 
         // Beacon phase: uniform over the beacon cycle, from the seed.
         let beacon_interval = cfg
