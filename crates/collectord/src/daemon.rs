@@ -150,6 +150,11 @@ impl Daemon {
         // forever: bound every read and write.
         let _ = stream.set_read_timeout(Some(self.ingest_timeout));
         let _ = stream.set_write_timeout(Some(self.ingest_timeout));
+        // Acks are small segments in a request/response exchange:
+        // Nagle's algorithm would hold one back while earlier bytes are
+        // unacknowledged, i.e. until the client's delayed ACK (~40 ms).
+        // The push clients set the same option on their side.
+        let _ = stream.set_nodelay(true);
         loop {
             let payload = match read_frame(&mut stream) {
                 Ok(p) => p,
@@ -269,7 +274,7 @@ impl Daemon {
                 respond(stream, 200, "text/plain", &body)
             }
             "/snapshot" => {
-                let body = self.inner.ingest.lock().unwrap().snapshot_pretty();
+                let body = self.inner.ingest.lock().unwrap().snapshot();
                 respond(stream, 200, "application/json", &body)
             }
             "/status" => {

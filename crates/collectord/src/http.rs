@@ -74,8 +74,11 @@ fn status_text(code: u16) -> &'static str {
 /// Write one complete response and flush. `Connection: close` — the
 /// daemon serves one response per connection, which keeps the handler
 /// loop trivial and is exactly what `curl` and Prometheus scrapers do.
+/// Head and body go out in one write, so a small response is one TCP
+/// segment rather than a head segment and a body segment held back by
+/// Nagle's algorithm.
 pub fn respond(
-    stream: &mut TcpStream,
+    w: &mut impl Write,
     code: u16,
     content_type: &str,
     body: &str,
@@ -87,9 +90,11 @@ pub fn respond(
         content_type,
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    let mut response = Vec::with_capacity(head.len() + body.len());
+    response.extend_from_slice(head.as_bytes());
+    response.extend_from_slice(body.as_bytes());
+    w.write_all(&response)?;
+    w.flush()
 }
 
 #[cfg(test)]
@@ -119,6 +124,35 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
         assert!(out.contains("Content-Length: 2\r\n"), "{out}");
         assert!(out.ends_with("\r\n\r\nhi"), "{out}");
+    }
+
+    #[test]
+    fn response_is_one_write_call() {
+        /// Counts `write` calls and keeps the bytes.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        for body in ["", "ok\n", &"x".repeat(100_000)] {
+            let mut w = CountingWriter::default();
+            respond(&mut w, 200, "text/plain", body).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte body", body.len());
+            let out = String::from_utf8(w.bytes).unwrap();
+            assert!(out.contains(&format!("Content-Length: {}\r\n", body.len())));
+            assert!(out.ends_with(&format!("\r\n\r\n{body}")));
+        }
     }
 
     #[test]

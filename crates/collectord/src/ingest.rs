@@ -22,9 +22,10 @@
 //! totals.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-use fleet::{CampaignSpec, Collector};
+use fleet::{CampaignSpec, CampaignStateError, Collector};
 use obs::Json;
 use wire::telemetry::ShardTelemetry;
 
@@ -103,6 +104,9 @@ pub struct Ingest {
     /// otherwise a duplicate's ack would claim durability the disk
     /// never delivered.
     dirty: bool,
+    /// The last rendered `/snapshot` body. Cleared by every push that
+    /// passes validation, filled by the next [`Ingest::snapshot`].
+    snapshot: Option<Arc<str>>,
 }
 
 impl Ingest {
@@ -118,6 +122,7 @@ impl Ingest {
             store: None,
             recovery: None,
             dirty: false,
+            snapshot: None,
         }
     }
 
@@ -149,10 +154,14 @@ impl Ingest {
             store: Some(store),
             recovery: Some(recovered.info),
             dirty: false,
+            snapshot: None,
         };
         // Buffered finals that are contiguous with the restored prefix
         // fold now, exactly as they would have on the next push.
-        let folded = ingest.drain();
+        let folded = ingest.drain().map_err(|e| StoreError::Corrupt {
+            path: e.path,
+            message: e.error.0,
+        })?;
         ingest.persist(None, &folded)?;
         Ok(ingest)
     }
@@ -276,9 +285,21 @@ impl Ingest {
             });
         }
 
+        // Past validation: from here on a push may change what the
+        // view shows (even a Stale same-coverage push replaces the
+        // buffered state), so the rendered snapshot is dropped.
+        self.snapshot = None;
         let outcome = self.classify_and_store(start, count, c, done)?;
         if matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered) {
-            let folded = self.drain();
+            let folded = match self.drain() {
+                Ok(folded) => folded,
+                Err(e) => {
+                    // Slices folded before the failing one are not in
+                    // the journal yet: the next push re-syncs it.
+                    self.dirty = true;
+                    return Err(IngestError::BadState(e.error.0));
+                }
+            };
             // Durability before acknowledgement: if the journal cannot
             // hold the push, the shard gets a retryable `storage` error
             // and re-sends its cumulative state later.
@@ -389,22 +410,36 @@ impl Ingest {
     /// Returns the `range_start` of each slice folded, so the journal
     /// can compact them (rewrite `merged.json`, drop their slice
     /// files).
-    fn drain(&mut self) -> Vec<u64> {
+    ///
+    /// A slice that will not fold stops the drain with a
+    /// [`DrainError`]: it stays buffered, and the slices folded before
+    /// it stay folded. Validation in [`Ingest::push`] and
+    /// [`Store::recover`] is meant to make this unreachable; it is an
+    /// error rather than a panic because a panic here would poison the
+    /// daemon's ingest lock for every later request.
+    fn drain(&mut self) -> Result<Vec<u64>, DrainError> {
         let mut folded = Vec::new();
-        while let Some(p) = self.pending.get(&self.merged.next_index()) {
-            if !p.done {
-                break;
-            }
+        loop {
             let start = self.merged.next_index();
-            let p = self.pending.remove(&start).expect("checked above");
+            let Some(p) = self.pending.get(&start).filter(|p| p.done) else {
+                break;
+            };
+            if let Err(error) = self.merged.absorb_state(&p.collector) {
+                return Err(DrainError {
+                    path: self
+                        .store
+                        .as_ref()
+                        .map(|s| s.slice_path(start))
+                        .unwrap_or_default(),
+                    error,
+                });
+            }
             let count = p.collector.devices_seen();
-            self.merged
-                .absorb_state(&p.collector)
-                .expect("contiguous final slice always folds");
+            self.pending.remove(&start);
             self.absorbed.push((start, count));
             folded.push(start);
         }
-        folded
+        Ok(folded)
     }
 
     fn note_shard(&mut self, shard: &str, start: u64, count: u64, done: bool, bytes: u64) {
@@ -480,8 +515,7 @@ impl Ingest {
     /// gaps remain (see [`Collector::absorb_state_for_view`]). Once
     /// [`Ingest::complete`], the view *is* the merged collector.
     pub fn view(&self) -> Collector {
-        let mut v = Collector::from_state_json(&self.merged.state_json())
-            .expect("collector state round-trips");
+        let mut v = self.merged.clone();
         for p in self.pending.values() {
             v.absorb_state_for_view(&p.collector)
                 .expect("buffered slices are validated disjoint");
@@ -497,4 +531,25 @@ impl Ingest {
         use obs::ToJson;
         self.view().report().to_json().to_string_pretty()
     }
+
+    /// The `/snapshot` body, rendered by [`Ingest::snapshot_pretty`] at
+    /// most once per state: the body is kept until the next push that
+    /// passes validation, so repeated reads of an unchanged campaign
+    /// cost a reference-count bump.
+    pub fn snapshot(&mut self) -> Arc<str> {
+        if let Some(body) = &self.snapshot {
+            return body.clone();
+        }
+        let body: Arc<str> = self.snapshot_pretty().into();
+        self.snapshot = Some(body.clone());
+        body
+    }
+}
+
+/// A buffered final slice that [`Ingest::drain`] could not fold.
+struct DrainError {
+    /// The slice's journal file (empty without a store).
+    path: std::path::PathBuf,
+    /// Why the fold failed.
+    error: CampaignStateError,
 }

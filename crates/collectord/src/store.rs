@@ -157,7 +157,7 @@ impl Store {
         self.dir.join("merged.json")
     }
 
-    fn slice_path(&self, start: u64) -> PathBuf {
+    pub(crate) fn slice_path(&self, start: u64) -> PathBuf {
         self.dir.join(format!("slice-{start}.json"))
     }
 

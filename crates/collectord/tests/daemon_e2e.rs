@@ -112,6 +112,27 @@ fn two_partition_push_yields_byte_identical_snapshot() {
     assert!(status.contains("404"), "{status}");
 }
 
+/// `/snapshot` is cached between pushes: a read after a push serves
+/// the new state, and a read with no push in between the same bytes.
+#[test]
+fn snapshot_after_a_push_reflects_it() {
+    let spec = spec();
+    let (_daemon, push_addr, http_addr) = start_daemon(spec.clone());
+
+    let (_, before) = get(&http_addr, "/snapshot");
+    assert!(before.contains("\"devices\": 0"), "{before}");
+
+    let (c1, _) = run_partition(&spec, 2, 1, 2);
+    let mut client = PushClient::connect(&push_addr, "1/2").unwrap();
+    client.push(&c1, true).unwrap();
+
+    let (status, after) = get(&http_addr, "/snapshot");
+    assert!(status.contains("200"), "{status}");
+    assert!(after.contains("\"devices\": 20"), "{after}");
+    let (_, again) = get(&http_addr, "/snapshot");
+    assert_eq!(again, after);
+}
+
 #[test]
 fn wrong_campaign_push_is_rejected_over_the_wire() {
     let spec = spec();

@@ -164,6 +164,134 @@ fn wrong_fingerprint_push_is_rejected_with_typed_error() {
     assert!(ingest.shards().is_empty());
 }
 
+/// `state` with its `strata` array changed by `edit`; the recorded
+/// seed and fingerprint stay as they were.
+fn edit_strata(state: &Json, edit: impl FnOnce(&mut Vec<Json>)) -> Json {
+    let mut strata = state.get("strata").and_then(Json::as_arr).unwrap().to_vec();
+    edit(&mut strata);
+    let mut edited = state.clone();
+    edited.set("strata", Json::Arr(strata));
+    edited
+}
+
+/// A push whose strata do not match the spec's classes carries a valid
+/// seed and fingerprint. As a final slice at device 0 it would fold at
+/// once; it must bounce as `spec-mismatch` instead, leaving the state
+/// (and the ingest) intact for the real slice.
+#[test]
+fn push_with_edited_strata_is_rejected_before_it_can_fold() {
+    let spec = spec();
+    let mut ingest = Ingest::new(spec.clone());
+    ingest
+        .push("1/3", &slice_state(&spec, 20, 40), true, 0)
+        .unwrap();
+    let before = ingest.snapshot_pretty();
+
+    let good = slice_state(&spec, 0, 20);
+    let dropped = edit_strata(&good, |s| {
+        s.pop();
+    });
+    let renamed = edit_strata(&good, |s| {
+        s[0].set("name", "not-a-class");
+    });
+    for bad in [dropped, renamed] {
+        let err = ingest.push("0/3", &bad, true, 0).unwrap_err();
+        assert_eq!(err.code(), "spec-mismatch", "{err:?}");
+        assert_eq!(ingest.devices_absorbed(), 0);
+        assert_eq!(ingest.snapshot_pretty(), before);
+    }
+
+    ingest.push("0/3", &good, true, 0).unwrap();
+    let ack = ingest
+        .push("2/3", &slice_state(&spec, 40, 60), true, 0)
+        .unwrap();
+    assert!(ack.complete);
+    assert_eq!(ingest.snapshot_pretty(), expected_json(&spec));
+}
+
+/// The cached `/snapshot` body equals a fresh render after every kind
+/// of push: buffered, out-of-order final, duplicate, stale, and the
+/// overlap and spec-mismatch rejections. A read with no push in
+/// between is served from the cache.
+#[test]
+fn cached_snapshot_matches_a_fresh_render_after_every_push() {
+    let spec = spec();
+    let other = CampaignSpec::heterogeneous(43, 60).with_probes(2);
+    let mut ingest = Ingest::new(spec.clone());
+    let check = |ingest: &mut Ingest, step: &str| {
+        let first = ingest.snapshot();
+        assert_eq!(&*first, ingest.snapshot_pretty(), "after {step}");
+        assert!(
+            std::sync::Arc::ptr_eq(&first, &ingest.snapshot()),
+            "unchanged state re-rendered after {step}"
+        );
+    };
+    check(&mut ingest, "nothing");
+
+    let steps: [(&str, &str, Json, bool, &str); 8] = [
+        (
+            "buffered",
+            "2/3",
+            slice_state(&spec, 40, 50),
+            false,
+            "buffered",
+        ),
+        (
+            "out-of-order final",
+            "2/3",
+            slice_state(&spec, 40, 60),
+            true,
+            "buffered",
+        ),
+        (
+            "duplicate",
+            "2/3",
+            slice_state(&spec, 40, 60),
+            true,
+            "duplicate",
+        ),
+        ("stale", "2/3", slice_state(&spec, 40, 50), false, "stale"),
+        (
+            "overlap",
+            "rogue",
+            slice_state(&spec, 35, 45),
+            false,
+            "overlap",
+        ),
+        (
+            "spec mismatch",
+            "0/3",
+            slice_state(&other, 0, 10),
+            false,
+            "spec-mismatch",
+        ),
+        (
+            "final at the frontier",
+            "0/3",
+            slice_state(&spec, 0, 20),
+            true,
+            "absorbed",
+        ),
+        (
+            "last gap filled",
+            "1/3",
+            slice_state(&spec, 20, 40),
+            true,
+            "absorbed",
+        ),
+    ];
+    for (step, shard, state, done, want) in steps {
+        let got = match ingest.push(shard, &state, done, 0) {
+            Ok(ack) => ack.outcome.status().to_string(),
+            Err(e) => e.code().to_string(),
+        };
+        assert_eq!(got, want, "{step}");
+        check(&mut ingest, step);
+    }
+    assert!(ingest.complete());
+    assert_eq!(&*ingest.snapshot(), expected_json(&spec));
+}
+
 #[test]
 fn overlapping_and_out_of_bounds_slices_are_rejected() {
     let spec = spec();

@@ -8,9 +8,9 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
-use collectord::{Daemon, Ingest, PushClient, PushOutcome, Store};
+use collectord::{Daemon, Ingest, PushClient, PushOutcome, Store, StoreError};
 use fleet::{run_campaign, run_partition, CampaignSpec};
-use obs::ToJson;
+use obs::{Json, ToJson};
 
 fn spec() -> CampaignSpec {
     CampaignSpec::heterogeneous(7, 40).with_probes(2)
@@ -206,5 +206,37 @@ fn compaction_and_flush_file_lifecycle() {
     let snapshot = std::fs::read_to_string(dir.join("snapshot.json")).unwrap();
     assert_eq!(snapshot, ingest.snapshot_pretty());
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A journal slice file edited to drop a stratum (seed and fingerprint
+/// untouched) and marked final at device 0 would fold during recovery.
+/// Recovery must refuse the journal with an error, not panic.
+#[test]
+fn slice_file_with_a_dropped_stratum_fails_recovery_cleanly() {
+    let spec = spec();
+    let dir = tmpdir("edited-slice");
+    let mut ingest = Ingest::with_store(spec.clone(), Store::open(&dir).unwrap()).unwrap();
+    let (c0, _) = run_partition(&spec, 2, 0, 2);
+    ingest.push("0/2", &c0.state_json(), false, 0).unwrap();
+    drop(ingest);
+
+    let path = dir.join("slice-0.json");
+    let mut doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let mut state = doc.get("state").unwrap().clone();
+    let mut strata = state.get("strata").and_then(Json::as_arr).unwrap().to_vec();
+    strata.pop();
+    state.set("strata", Json::Arr(strata));
+    doc.set("state", state);
+    doc.set("final", true);
+    std::fs::write(&path, doc.to_string_pretty()).unwrap();
+
+    match Ingest::with_store(spec, Store::open(&dir).unwrap()) {
+        Ok(_) => panic!("an edited slice must not recover"),
+        Err(e) => assert!(
+            matches!(e, StoreError::SpecMismatch(_) | StoreError::Corrupt { .. }),
+            "{e}"
+        ),
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

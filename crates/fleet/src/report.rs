@@ -120,6 +120,29 @@ pub struct Collector {
     range_start: u64,
 }
 
+/// A deep copy. The registry is a shared handle, so a derived `Clone`
+/// would alias it and a fold into the copy would show up in the
+/// original; the copy gets a fresh registry with the same contents
+/// instead, which is what [`Collector::from_state_json`] builds from
+/// [`Collector::state_json`], without the JSON in between.
+impl Clone for Collector {
+    fn clone(&self) -> Collector {
+        let registry = Registry::new();
+        registry.merge_snapshot(&self.registry.snapshot());
+        Collector {
+            strata: self.strata.clone(),
+            du_all: self.du_all.clone(),
+            overhead_all: self.overhead_all.clone(),
+            registry,
+            seed: self.seed,
+            devices_seen: self.devices_seen,
+            probes_per_device: self.probes_per_device,
+            fingerprint: self.fingerprint,
+            range_start: self.range_start,
+        }
+    }
+}
+
 impl Collector {
     /// An empty collector for `spec`, starting at device index 0.
     pub fn new(spec: &CampaignSpec) -> Collector {
@@ -205,7 +228,11 @@ impl Collector {
 
     /// Check that serialized state belongs to `spec`: the campaign seed
     /// and the [`CampaignSpec::fingerprint`] recorded at serialization
-    /// time must both match.
+    /// time must both match, and the strata must be `spec`'s classes,
+    /// same count and names in the same order. The fingerprint is a
+    /// field of the document, so a state whose strata were edited keeps
+    /// a valid one; without the stratum check it would pass here and
+    /// fail only when folded.
     pub fn verify_spec(&self, spec: &CampaignSpec) -> Result<(), CampaignStateError> {
         if self.seed != spec.seed {
             return Err(CampaignStateError(format!(
@@ -220,6 +247,21 @@ impl Collector {
                 self.fingerprint,
                 spec.fingerprint()
             )));
+        }
+        if self.strata.len() != spec.classes.len() {
+            return Err(CampaignStateError(format!(
+                "state has {} strata but the spec has {} classes",
+                self.strata.len(),
+                spec.classes.len()
+            )));
+        }
+        for (i, (s, c)) in self.strata.iter().zip(&spec.classes).enumerate() {
+            if s.name != c.name {
+                return Err(CampaignStateError(format!(
+                    "stratum {i} is `{}` but the spec's class {i} is `{}`",
+                    s.name, c.name
+                )));
+            }
         }
         Ok(())
     }

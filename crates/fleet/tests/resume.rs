@@ -7,7 +7,7 @@
 
 use fleet::{
     merge_partials, resume_campaign, run_campaign, run_campaign_opts, run_partition, CampaignSpec,
-    CheckpointPolicy, RunOptions,
+    CheckpointPolicy, Collector, RunOptions,
 };
 use obs::{Json, ToJson};
 
@@ -111,6 +111,30 @@ fn partition_merge_equals_single_process() {
         let merged = merge_partials(&spec, &parts).unwrap();
         assert_eq!(pretty(&merged), single_json, "k = {k}");
     }
+}
+
+/// `Collector::clone` is the state-JSON round trip without the JSON:
+/// the same state and the same report. It is also deep: a view fold
+/// into the copy must not reach the original's registry.
+#[test]
+fn clone_equals_state_round_trip_and_is_deep() {
+    let spec = CampaignSpec::heterogeneous(9, 22).with_probes(2);
+    let (c0, _) = run_partition(&spec, 2, 0, 3);
+    let (c2, _) = run_partition(&spec, 2, 2, 3);
+    let original = c0.state_json().to_string_pretty();
+
+    let round_trip = Collector::from_state_json(&c0.state_json()).unwrap();
+    let mut copy = c0.clone();
+    assert_eq!(copy.state_json().to_string_pretty(), original);
+    assert_eq!(
+        copy.state_json().to_string_pretty(),
+        round_trip.state_json().to_string_pretty()
+    );
+    assert_eq!(pretty(&copy.report()), pretty(&round_trip.report()));
+
+    copy.absorb_state_for_view(&c2).unwrap();
+    assert_ne!(copy.state_json().to_string_pretty(), original);
+    assert_eq!(c0.state_json().to_string_pretty(), original);
 }
 
 #[test]

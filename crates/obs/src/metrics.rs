@@ -371,15 +371,14 @@ impl HistogramSnapshot {
     /// R type-7 — same convention as `am_stats::quantile`). Exact while
     /// `sample_overflow == 0`.
     pub fn quantile(&self, p: f64) -> f64 {
+        quantile_sorted(&self.sorted_samples(), p)
+    }
+
+    /// A sorted copy of the retained samples.
+    fn sorted_samples(&self) -> Vec<f64> {
         let mut xs = self.samples.clone();
-        if xs.is_empty() {
-            return 0.0;
-        }
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let h = p.clamp(0.0, 1.0) * (xs.len() - 1) as f64;
-        let lo = h.floor() as usize;
-        let hi = h.ceil() as usize;
-        xs[lo] + (xs[hi] - xs[lo]) * (h - lo as f64)
+        xs
     }
 
     /// Median from the retained samples.
@@ -398,8 +397,21 @@ impl HistogramSnapshot {
     }
 }
 
+/// R type-7 quantile of already-sorted `xs` (0 when empty).
+fn quantile_sorted(xs: &[f64], p: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let h = p.clamp(0.0, 1.0) * (xs.len() - 1) as f64;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    xs[lo] + (xs[hi] - xs[lo]) * (h - lo as f64)
+}
+
 impl ToJson for HistogramSnapshot {
     fn to_json(&self) -> Json {
+        // One sort serves all three quantiles.
+        let sorted = self.sorted_samples();
         let mut obj = Json::object();
         obj.set("name", &self.name);
         obj.set("count", self.count);
@@ -407,9 +419,9 @@ impl ToJson for HistogramSnapshot {
         obj.set("min", self.min);
         obj.set("max", self.max);
         obj.set("mean", self.mean());
-        obj.set("p50", self.p50());
-        obj.set("p95", self.p95());
-        obj.set("p99", self.p99());
+        obj.set("p50", quantile_sorted(&sorted, 0.50));
+        obj.set("p95", quantile_sorted(&sorted, 0.95));
+        obj.set("p99", quantile_sorted(&sorted, 0.99));
         obj.set("bounds", &self.bounds);
         obj.set("buckets", &self.buckets);
         obj.set("sample_overflow", self.sample_overflow);
@@ -686,6 +698,31 @@ mod tests {
         assert!((hs.quantile(0.0) - 1.0).abs() < 1e-9);
         assert!((hs.quantile(1.0) - 100.0).abs() < 1e-9);
         assert!((hs.p95() - 95.05).abs() < 1e-9);
+    }
+
+    #[test]
+    fn to_json_quantiles_equal_quantile() {
+        // Unsorted, with duplicates; then a reservoir filled to the cap
+        // (with spill) in a scrambled order.
+        let small = [7.5, 1.0, 3.25, 7.5, 0.5, 3.25, 11.0, 1.0, 9.0];
+        let full: Vec<f64> = (0..SAMPLE_CAP + 100)
+            .map(|i| ((i * 7919) % 1009) as f64 * 0.25)
+            .collect();
+        for values in [&small[..], &full[..]] {
+            let r = Registry::new();
+            let h = r.histogram_ms("q");
+            for &v in values {
+                h.observe(v);
+            }
+            let snap = r.snapshot();
+            let hs = snap.histogram("q").unwrap();
+            assert_eq!(hs.samples.len(), values.len().min(SAMPLE_CAP));
+            let j = hs.to_json();
+            for (key, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+                let got = j.get(key).and_then(Json::as_f64).unwrap();
+                assert_eq!(got.to_bits(), hs.quantile(p).to_bits(), "{key}");
+            }
+        }
     }
 
     #[test]

@@ -53,12 +53,20 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Write one frame: 4-byte big-endian length, then the payload.
+///
+/// Prefix and payload go out in a single `write_all` of one buffer.
+/// Two writes would put the 4-byte prefix in a segment of its own; on
+/// a socket with Nagle's algorithm on, the payload then waits for the
+/// peer's delayed ACK of that segment (about 40 ms on Linux) before it
+/// is sent.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(payload.len()));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -97,6 +105,36 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        for payload in [&b""[..], b"ack", &[0x5A; 70_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(w.bytes.len(), 4 + payload.len());
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap(), payload);
+        }
+    }
 
     #[test]
     fn round_trips_multiple_frames() {
