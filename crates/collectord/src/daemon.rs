@@ -274,7 +274,7 @@ impl Daemon {
                 respond(stream, 200, "text/plain", &body)
             }
             "/snapshot" => {
-                let body = self.inner.ingest.lock().unwrap().snapshot();
+                let body = self.inner.ingest.lock().unwrap().snapshot_pretty();
                 respond(stream, 200, "application/json", &body)
             }
             "/status" => {

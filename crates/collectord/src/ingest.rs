@@ -22,7 +22,6 @@
 //! totals.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use fleet::{CampaignSpec, CampaignStateError, Collector};
@@ -104,9 +103,6 @@ pub struct Ingest {
     /// otherwise a duplicate's ack would claim durability the disk
     /// never delivered.
     dirty: bool,
-    /// The last rendered `/snapshot` body. Cleared by every push that
-    /// passes validation, filled by the next [`Ingest::snapshot`].
-    snapshot: Option<Arc<str>>,
 }
 
 impl Ingest {
@@ -122,7 +118,6 @@ impl Ingest {
             store: None,
             recovery: None,
             dirty: false,
-            snapshot: None,
         }
     }
 
@@ -154,12 +149,15 @@ impl Ingest {
             store: Some(store),
             recovery: Some(recovered.info),
             dirty: false,
-            snapshot: None,
         };
         // Buffered finals that are contiguous with the restored prefix
         // fold now, exactly as they would have on the next push.
         let folded = ingest.drain().map_err(|e| StoreError::Corrupt {
-            path: e.path,
+            path: ingest
+                .store
+                .as_ref()
+                .map(|s| s.slice_path(e.start))
+                .unwrap_or_default(),
             message: e.error.0,
         })?;
         ingest.persist(None, &folded)?;
@@ -256,7 +254,10 @@ impl Ingest {
 
     /// Ingest one push: validate, buffer or fold, and answer. `bytes`
     /// is the frame payload size (bookkeeping only). Rejected pushes
-    /// leave every piece of campaign state untouched.
+    /// leave every piece of campaign state untouched, with one
+    /// exception that validation makes unreachable: a buffered final
+    /// slice that fails to fold is dropped, and the push reports
+    /// `bad-state`.
     pub fn push(
         &mut self,
         shard: &str,
@@ -285,17 +286,18 @@ impl Ingest {
             });
         }
 
-        // Past validation: from here on a push may change what the
-        // view shows (even a Stale same-coverage push replaces the
-        // buffered state), so the rendered snapshot is dropped.
-        self.snapshot = None;
         let outcome = self.classify_and_store(start, count, c, done)?;
         if matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered) {
             let folded = match self.drain() {
                 Ok(folded) => folded,
                 Err(e) => {
-                    // Slices folded before the failing one are not in
-                    // the journal yet: the next push re-syncs it.
+                    // The drain dropped the slice that would not fold;
+                    // drop its journal file too, or recovery would load
+                    // it again. Slices folded before it are not in the
+                    // journal yet: the next push re-syncs it.
+                    if let Some(store) = &self.store {
+                        let _ = store.remove_slice(e.start);
+                    }
                     self.dirty = true;
                     return Err(IngestError::BadState(e.error.0));
                 }
@@ -412,11 +414,12 @@ impl Ingest {
     /// files).
     ///
     /// A slice that will not fold stops the drain with a
-    /// [`DrainError`]: it stays buffered, and the slices folded before
-    /// it stay folded. Validation in [`Ingest::push`] and
-    /// [`Store::recover`] is meant to make this unreachable; it is an
-    /// error rather than a panic because a panic here would poison the
-    /// daemon's ingest lock for every later request.
+    /// [`DrainError`]. The slice is removed from the buffer, so no
+    /// later drain, view or journal write sees it again; the slices
+    /// folded before it stay folded. Validation in [`Ingest::push`]
+    /// and [`Store::recover`] is meant to make this unreachable; it is
+    /// an error rather than a panic because a panic here would poison
+    /// the daemon's ingest lock for every later request.
     fn drain(&mut self) -> Result<Vec<u64>, DrainError> {
         let mut folded = Vec::new();
         loop {
@@ -425,14 +428,8 @@ impl Ingest {
                 break;
             };
             if let Err(error) = self.merged.absorb_state(&p.collector) {
-                return Err(DrainError {
-                    path: self
-                        .store
-                        .as_ref()
-                        .map(|s| s.slice_path(start))
-                        .unwrap_or_default(),
-                    error,
-                });
+                self.pending.remove(&start);
+                return Err(DrainError { start, error });
             }
             let count = p.collector.devices_seen();
             self.pending.remove(&start);
@@ -531,25 +528,72 @@ impl Ingest {
         use obs::ToJson;
         self.view().report().to_json().to_string_pretty()
     }
-
-    /// The `/snapshot` body, rendered by [`Ingest::snapshot_pretty`] at
-    /// most once per state: the body is kept until the next push that
-    /// passes validation, so repeated reads of an unchanged campaign
-    /// cost a reference-count bump.
-    pub fn snapshot(&mut self) -> Arc<str> {
-        if let Some(body) = &self.snapshot {
-            return body.clone();
-        }
-        let body: Arc<str> = self.snapshot_pretty().into();
-        self.snapshot = Some(body.clone());
-        body
-    }
 }
 
 /// A buffered final slice that [`Ingest::drain`] could not fold.
 struct DrainError {
-    /// The slice's journal file (empty without a store).
-    path: std::path::PathBuf,
+    /// The slice's `range_start`.
+    start: u64,
     /// Why the fold failed.
     error: CampaignStateError,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fleet::{run_campaign, run_partition};
+    use obs::ToJson;
+
+    /// A buffered final slice that will not fold cannot get in through
+    /// `push` or recovery (both run `verify_spec`), so the test plants
+    /// one. The push that reaches it gets `bad-state`, and the slice is
+    /// dropped from memory and from the journal: the view still
+    /// renders, the campaign still completes, and the journal still
+    /// recovers.
+    #[test]
+    fn a_slice_that_will_not_fold_is_dropped() {
+        let spec = CampaignSpec::heterogeneous(7, 40).with_probes(2);
+        let (c0, _) = run_partition(&spec, 2, 0, 2);
+        let (c1, _) = run_partition(&spec, 2, 1, 2);
+        let mut state = c1.state_json();
+        let mut strata = state.get("strata").and_then(Json::as_arr).unwrap().to_vec();
+        strata.pop();
+        state.set("strata", Json::Arr(strata));
+        let unfoldable = Collector::from_state_json(&state).unwrap();
+
+        let dir = std::env::temp_dir().join(format!("ingest-unfoldable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let mut ingest = Ingest::with_store(spec.clone(), store.clone()).unwrap();
+        store.write_slice(&unfoldable, true).unwrap();
+        let planted = store.slice_path(c1.range_start());
+        assert!(planted.exists());
+        ingest.pending.insert(
+            c1.range_start(),
+            Pending {
+                collector: unfoldable,
+                done: true,
+            },
+        );
+
+        match ingest.push("0/2", &c0.state_json(), true, 0) {
+            Err(IngestError::BadState(m)) => assert!(m.contains("stratum count"), "{m}"),
+            other => panic!("expected bad-state, got {other:?}"),
+        }
+        assert!(ingest.pending.is_empty());
+        assert!(!planted.exists());
+        assert_eq!(ingest.devices_absorbed(), c0.devices_seen());
+        ingest.snapshot_pretty();
+
+        let ack = ingest.push("1/2", &c1.state_json(), true, 0).unwrap();
+        assert!(ack.complete);
+        let full = run_campaign(&spec, 2).0.to_json().to_string_pretty();
+        assert_eq!(ingest.snapshot_pretty(), full);
+        drop(ingest);
+
+        let recovered = Ingest::with_store(spec, Store::open(&dir).unwrap()).unwrap();
+        assert!(recovered.complete());
+        assert_eq!(recovered.snapshot_pretty(), full);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -112,8 +112,8 @@ fn two_partition_push_yields_byte_identical_snapshot() {
     assert!(status.contains("404"), "{status}");
 }
 
-/// `/snapshot` is cached between pushes: a read after a push serves
-/// the new state, and a read with no push in between the same bytes.
+/// A `/snapshot` read after a push serves the new state, and a read
+/// with no push in between the same bytes.
 #[test]
 fn snapshot_after_a_push_reflects_it() {
     let spec = spec();

@@ -209,89 +209,6 @@ fn push_with_edited_strata_is_rejected_before_it_can_fold() {
     assert_eq!(ingest.snapshot_pretty(), expected_json(&spec));
 }
 
-/// The cached `/snapshot` body equals a fresh render after every kind
-/// of push: buffered, out-of-order final, duplicate, stale, and the
-/// overlap and spec-mismatch rejections. A read with no push in
-/// between is served from the cache.
-#[test]
-fn cached_snapshot_matches_a_fresh_render_after_every_push() {
-    let spec = spec();
-    let other = CampaignSpec::heterogeneous(43, 60).with_probes(2);
-    let mut ingest = Ingest::new(spec.clone());
-    let check = |ingest: &mut Ingest, step: &str| {
-        let first = ingest.snapshot();
-        assert_eq!(&*first, ingest.snapshot_pretty(), "after {step}");
-        assert!(
-            std::sync::Arc::ptr_eq(&first, &ingest.snapshot()),
-            "unchanged state re-rendered after {step}"
-        );
-    };
-    check(&mut ingest, "nothing");
-
-    let steps: [(&str, &str, Json, bool, &str); 8] = [
-        (
-            "buffered",
-            "2/3",
-            slice_state(&spec, 40, 50),
-            false,
-            "buffered",
-        ),
-        (
-            "out-of-order final",
-            "2/3",
-            slice_state(&spec, 40, 60),
-            true,
-            "buffered",
-        ),
-        (
-            "duplicate",
-            "2/3",
-            slice_state(&spec, 40, 60),
-            true,
-            "duplicate",
-        ),
-        ("stale", "2/3", slice_state(&spec, 40, 50), false, "stale"),
-        (
-            "overlap",
-            "rogue",
-            slice_state(&spec, 35, 45),
-            false,
-            "overlap",
-        ),
-        (
-            "spec mismatch",
-            "0/3",
-            slice_state(&other, 0, 10),
-            false,
-            "spec-mismatch",
-        ),
-        (
-            "final at the frontier",
-            "0/3",
-            slice_state(&spec, 0, 20),
-            true,
-            "absorbed",
-        ),
-        (
-            "last gap filled",
-            "1/3",
-            slice_state(&spec, 20, 40),
-            true,
-            "absorbed",
-        ),
-    ];
-    for (step, shard, state, done, want) in steps {
-        let got = match ingest.push(shard, &state, done, 0) {
-            Ok(ack) => ack.outcome.status().to_string(),
-            Err(e) => e.code().to_string(),
-        };
-        assert_eq!(got, want, "{step}");
-        check(&mut ingest, step);
-    }
-    assert!(ingest.complete());
-    assert_eq!(&*ingest.snapshot(), expected_json(&spec));
-}
-
 #[test]
 fn overlapping_and_out_of_bounds_slices_are_rejected() {
     let spec = spec();

@@ -441,13 +441,20 @@ impl Collector {
                 "partials disagree on stratum count".to_string(),
             ));
         }
+        // Check every name before adding anything: a failed fold
+        // leaves this collector untouched.
+        if let Some((s, o)) = self
+            .strata
+            .iter()
+            .zip(&other.strata)
+            .find(|(s, o)| s.name != o.name)
+        {
+            return Err(CampaignStateError(format!(
+                "stratum name mismatch: `{}` vs `{}`",
+                s.name, o.name
+            )));
+        }
         for (s, o) in self.strata.iter_mut().zip(&other.strata) {
-            if s.name != o.name {
-                return Err(CampaignStateError(format!(
-                    "stratum name mismatch: `{}` vs `{}`",
-                    s.name, o.name
-                )));
-            }
             s.devices += o.devices;
             s.probes_sent += o.probes_sent;
             s.probes_completed += o.probes_completed;

@@ -137,6 +137,27 @@ fn clone_equals_state_round_trip_and_is_deep() {
     assert_eq!(c0.state_json().to_string_pretty(), original);
 }
 
+/// A fold that fails on the last stratum's name must not have added
+/// the strata before it: `absorb_state` checks before it adds.
+#[test]
+fn failed_absorb_leaves_the_collector_untouched() {
+    let spec = CampaignSpec::heterogeneous(9, 22).with_probes(2);
+    let (mut c0, _) = run_partition(&spec, 2, 0, 2);
+    let (c1, _) = run_partition(&spec, 2, 1, 2);
+    let before = c0.state_json().to_string_pretty();
+
+    let mut state = c1.state_json();
+    let mut strata = state.get("strata").and_then(Json::as_arr).unwrap().to_vec();
+    strata.last_mut().unwrap().set("name", "renamed");
+    state.set("strata", Json::Arr(strata));
+    let renamed = Collector::from_state_json(&state).unwrap();
+
+    let err = c0.absorb_state(&renamed).unwrap_err();
+    assert!(err.0.contains("stratum name mismatch"), "{}", err.0);
+    assert_eq!(c0.state_json().to_string_pretty(), before);
+    c0.absorb_state(&c1).unwrap();
+}
+
 #[test]
 fn merge_rejects_wrong_spec_gaps_and_overlaps() {
     let spec = CampaignSpec::heterogeneous(9, 22).with_probes(2);
